@@ -302,16 +302,12 @@ end = struct
         })
       durable_c
 
-  let changed_bindings prev next =
-    Int_map.fold
-      (fun k v acc ->
-        match Int_map.find_opt k prev with Some v' when v' = v -> acc | _ -> (k, v) :: acc)
-      next []
+  module Delta = Proto.Durability.Delta (Int_map)
 
   let durable =
     let log ~prev ~next =
-      let store = changed_bindings prev.store next.store in
-      let history = changed_bindings prev.history next.history in
+      let store = Delta.changed prev.store next.store in
+      let history = Delta.changed prev.history next.history in
       if
         store = [] && history = [] && prev.applied_seq = next.applied_seq
         && prev.head_seq = next.head_seq

@@ -120,6 +120,124 @@ end
 
 module Int_map = Map.Make (Int)
 
+(* ---------- agreement ----------
+
+   No two replicas decide different commands for one instance: the
+   safety property Paxos exists to provide. Both checks read a view of
+   any state through [decided], its replica's decided log. *)
+
+let agreement_uncached ~decided view =
+  let decisions = Hashtbl.create 64 in
+  Proto.View.fold
+    (fun ok _ st ->
+      Int_map.fold
+        (fun inst cmd ok ->
+          match Hashtbl.find_opt decisions inst with
+          | None ->
+              Hashtbl.replace decisions inst cmd;
+              ok
+          | Some cmd' -> ok && cmd = cmd')
+        (decided st) ok)
+    true view
+
+(* The engine checks agreement after every event that changed a node
+   and the explorer after every expanded world, but a decision changes
+   one replica's log by one instance, and logs are immutable maps
+   replaced only when a decision lands. So [agreement] keeps the fold's
+   outcome up to date instead of redoing it: [logs] holds, per replica,
+   the log last folded in (and its size); [holders] maps each instance
+   to its distinct decided commands, each with the number of replicas
+   holding it; [conflicts] counts the commands beyond the first,
+   summed over instances. A replica whose log is physically the one
+   folded in last costs one comparison; any other log is diffed
+   against it, and a replica gone from the view against the empty
+   log — so crashes, amnesia (a log that shrank) and unrelated explorer
+   worlds visited in any order all stay exact. One memo per domain
+   (DLS): explorer workers check properties concurrently. *)
+type agreement_memo = {
+  mutable logs : (cmd Int_map.t * int) Proto.Node_id.Map.t;
+  holders : (int, (cmd * int) list) Hashtbl.t;
+  mutable conflicts : int;
+}
+
+let agreement_memo =
+  Domain.DLS.new_key (fun () ->
+      { logs = Proto.Node_id.Map.empty; holders = Hashtbl.create 64; conflicts = 0 })
+
+let hold m inst cmd =
+  match Hashtbl.find m.holders inst with
+  | exception Not_found -> Hashtbl.add m.holders inst [ (cmd, 1) ]
+  | held ->
+      let rec bump = function
+        | [] ->
+            m.conflicts <- m.conflicts + 1;
+            [ (cmd, 1) ]
+        | (c, k) :: rest when c = cmd -> (c, k + 1) :: rest
+        | h :: rest -> h :: bump rest
+      in
+      Hashtbl.replace m.holders inst (bump held)
+
+let release m inst cmd =
+  let held = Hashtbl.find m.holders inst in
+  let rec drop = function
+    | [] -> []
+    | (c, k) :: rest when c = cmd -> if k > 1 then (c, k - 1) :: rest else rest
+    | h :: rest -> h :: drop rest
+  in
+  match drop held with
+  | [] -> Hashtbl.remove m.holders inst
+  | held' ->
+      if List.compare_lengths held' held < 0 then m.conflicts <- m.conflicts - 1;
+      Hashtbl.replace m.holders inst held'
+
+(* Fold the change from [old] (of [size] bindings) to [log] into the
+   memo; returns the size of [log]. *)
+let absorb m ~old ~size log =
+  let seen = ref 0 and kept = ref 0 in
+  Int_map.iter
+    (fun inst cmd ->
+      incr seen;
+      match Int_map.find inst old with
+      | c ->
+          incr kept;
+          if not (c == cmd || c = cmd) then begin
+            release m inst c;
+            hold m inst cmd
+          end
+      | exception Not_found -> hold m inst cmd)
+    log;
+  if !kept < size then
+    Int_map.iter (fun inst c -> if not (Int_map.mem inst log) then release m inst c) old;
+  !seen
+
+let agreement ~decided (view : _ Proto.View.t) =
+  let m = Domain.DLS.get agreement_memo in
+  let present = ref 0 in
+  List.iter
+    (fun (id, st) ->
+      let log = decided st in
+      match Proto.Node_id.Map.find id m.logs with
+      | old, size ->
+          incr present;
+          if old != log then
+            m.logs <- Proto.Node_id.Map.add id (log, absorb m ~old ~size log) m.logs
+      | exception Not_found ->
+          if not (Int_map.is_empty log) then begin
+            incr present;
+            m.logs <-
+              Proto.Node_id.Map.add id (log, absorb m ~old:Int_map.empty ~size:0 log) m.logs
+          end)
+    view.nodes;
+  if !present < Proto.Node_id.Map.cardinal m.logs then
+    m.logs <-
+      Proto.Node_id.Map.filter
+        (fun id (old, _) ->
+          let stays = List.exists (fun (id', _) -> Proto.Node_id.equal id id') view.nodes in
+          if not stays then Int_map.iter (release m) old;
+          stays)
+        m.logs;
+  m.conflicts = 0
+
 module Make (P : PARAMS) : sig
   include Proto.App_intf.APP with type msg = msg
 
@@ -286,16 +404,12 @@ end = struct
         })
       durable_c
 
-  let changed_bindings prev next =
-    Int_map.fold
-      (fun k v acc ->
-        match Int_map.find_opt k prev with Some v' when v' = v -> acc | _ -> (k, v) :: acc)
-      next []
+  module Delta = Proto.Durability.Delta (Int_map)
 
   let durable =
     let log ~prev ~next =
-      let slots = changed_bindings prev.acceptor next.acceptor in
-      let dec = changed_bindings prev.decided next.decided in
+      let slots = Delta.changed prev.acceptor next.acceptor in
+      let dec = Delta.changed prev.decided next.decided in
       if
         slots = [] && dec = [] && prev.next_seq = next.next_seq
         && prev.next_slot = next.next_slot
@@ -647,52 +761,9 @@ end = struct
         end
     | _ -> (st, [])
 
-  (* Agreement: no two replicas decide different commands for one
-     instance — the safety property Paxos exists to provide. *)
-  let agreement_uncached view =
-    let decisions = Hashtbl.create 64 in
-    Proto.View.fold
-      (fun ok _ st ->
-        Int_map.fold
-          (fun inst cmd ok ->
-            match Hashtbl.find_opt decisions inst with
-            | None ->
-                Hashtbl.replace decisions inst cmd;
-                ok
-            | Some cmd' -> ok && cmd = cmd')
-          st.decided ok)
-      true view
-
-  (* The engine checks agreement after every event and the explorer
-     after every expanded world, but [decided] maps are immutable and
-     only ever replaced when a decision lands — most checks see the
-     exact same maps as the previous one. Memoize on the physical
-     identity of each node's [decided] (plus its id), which is sound
-     because the fold above reads nothing else. One cache per domain
-     (DLS): explorer workers check properties concurrently, and a
-     shared cell would race; a per-domain miss just recomputes. *)
-  let agreement_memo = Domain.DLS.new_key (fun () -> ref ([], true))
-
-  let agreement view =
-    let key = Proto.View.fold (fun acc id st -> (id, st.decided) :: acc) [] view in
-    let memo = Domain.DLS.get agreement_memo in
-    let prev_key, prev_result = !memo in
-    let rec same a b =
-      match (a, b) with
-      | [], [] -> true
-      | (id1, d1) :: ra, (id2, d2) :: rb -> Proto.Node_id.equal id1 id2 && d1 == d2 && same ra rb
-      | ([], _ :: _ | _ :: _, []) -> false
-    in
-    if same prev_key key then prev_result
-    else begin
-      let result = agreement_uncached view in
-      memo := (key, result);
-      result
-    end
-
   let properties =
     [
-      Core.Property.safety ~name:"agreement" agreement;
+      Core.Property.safety ~name:"agreement" (agreement ~decided);
       Core.Property.liveness ~name:"all-committed" (fun view ->
           Proto.View.fold
             (fun ok _ st -> ok && List.length st.latencies = st.born)

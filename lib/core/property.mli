@@ -1,11 +1,18 @@
 (** Safety and liveness properties (paper §3.2).
 
     Safety properties must hold in every reachable view; the engine
-    checks them after each event and the explorer checks them in every
-    explored future. Liveness properties are approximated, as in
-    CrystalBall, by bounded-horizon reachability: the explorer reports
-    a liveness concern if no explored future reaches a view satisfying
-    the predicate. *)
+    checks them after each event that changed a live node's state or
+    the live set, and the explorer checks them in every explored
+    future. Liveness properties are approximated, as in CrystalBall, by
+    bounded-horizon reachability: the explorer reports a liveness
+    concern if no explored future reaches a view satisfying the
+    predicate.
+
+    Contract for safety properties the engine checks: a property must
+    be a function of the live node states in the view. The engine
+    re-checks only when a handler returned a physically different
+    state, a node was killed or a node booted; a change to the view's
+    [inflight] or [time] alone does not trigger a re-check. *)
 
 type kind = Safety | Liveness
 

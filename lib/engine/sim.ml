@@ -348,6 +348,10 @@ module Make (App : Proto.App_intf.APP) = struct
         (* = List.length violations, maintained so lookahead forks can
            diff violation counts without O(n) walks per branch *)
     mutable violated_now : string list;  (* properties currently violated *)
+    mutable view_dirty : bool;
+        (* a live node's state or the live set changed since the last
+           property check; properties read only live node states, so an
+           event that leaves this clear cannot change their verdict *)
     mutable filters : filter list;
     mutable decision_log : (Dsim.Vtime.t * Core.Choice.site * int) list;
     mutable event_decisions : (int * int) list;
@@ -435,6 +439,7 @@ module Make (App : Proto.App_intf.APP) = struct
       violations = [];
       n_violations = 0;
       violated_now = [];
+      view_dirty = true;
       filters = [];
       decision_log = [];
       event_decisions = [];
@@ -862,6 +867,7 @@ module Make (App : Proto.App_intf.APP) = struct
     | None -> ()
     | Some n ->
         t.nodes <- Proto.Node_id.Map.add id { n with alive = false } t.nodes;
+        t.view_dirty <- true;
         Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a killed"
           Proto.Node_id.pp id
 
@@ -1749,6 +1755,7 @@ module Make (App : Proto.App_intf.APP) = struct
           | Some d -> persist t node ~prev:n.state ~next:state d
         in
         t.nodes <- Proto.Node_id.Map.add node { n with state } t.nodes;
+        if state != n.state then t.view_dirty <- true;
         defer_sends t node ~delay actions
 
   (* Recovery (never raises — see {!Proto.Durability}): decode the
@@ -1854,6 +1861,7 @@ module Make (App : Proto.App_intf.APP) = struct
             in
             note_degraded t id ~prev:(Option.map (fun (p : node) -> p.state) prev) ~next:state;
             t.nodes <- Proto.Node_id.Map.add id { state; alive = true; timer_gens; incarnation } t.nodes;
+            t.view_dirty <- true;
             defer_sends t id ~delay actions;
             Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a booted"
               Proto.Node_id.pp id)
@@ -2203,7 +2211,8 @@ module Make (App : Proto.App_intf.APP) = struct
         | Some ov -> ignore (ov_note_processed t ov did)));
     t.processing <- saved_processing;
     t.event_decisions <- saved_decisions;
-    if t.check_properties then begin
+    if t.check_properties && t.view_dirty then begin
+      t.view_dirty <- false;
       let view = global_view t in
       let now_violated =
         List.map (fun (p : _ Core.Property.t) -> p.name) (Core.Property.check App.properties view)

@@ -68,3 +68,24 @@ let v ?(snapshot_every = 32) ?equal ?log ?replay ?restore codec =
     match restore with Some r -> r | None -> fun ~boot:_ ~durable -> durable
   in
   { codec; log; replay; restore; snapshot_every }
+
+(** The delta a map-shaped durable field contributes to one WAL record.
+
+    [changed prev next] lists every binding of [next] that [prev] lacks
+    or holds a different value for, in descending key order; bindings
+    [next] dropped are not listed. A field the transition left alone is
+    still the same map and costs one physical comparison; a changed one
+    is walked once, and a value still shared with [prev] passes before
+    any structural comparison. The walk allocates only the returned
+    list. *)
+module Delta (M : Map.S) = struct
+  let changed prev next =
+    if prev == next then []
+    else
+      M.fold
+        (fun k v acc ->
+          match M.find k prev with
+          | v' when v' == v || v' = v -> acc
+          | _ | (exception Not_found) -> (k, v) :: acc)
+        next []
+end
