@@ -14,7 +14,7 @@
     always-nearest) sit at the two ends of the tradeoff; resolvers can
     live anywhere on it. *)
 
-module Int_map = Map.Make (Int)
+module Int_map = Core.Intmap
 
 type msg =
   | Write of { key : int; origin : Proto.Node_id.t }

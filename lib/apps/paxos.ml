@@ -118,7 +118,7 @@ module Default_params = struct
   let retry_timeout = 2.0
 end
 
-module Int_map = Map.Make (Int)
+module Int_map = Core.Intmap
 
 (* ---------- agreement ----------
 
@@ -142,20 +142,21 @@ let agreement_uncached ~decided view =
 
 (* The engine checks agreement after every event that changed a node
    and the explorer after every expanded world, but a decision changes
-   one replica's log by one instance, and logs are immutable maps
+   one replica's log by one instance, and logs are persistent maps
    replaced only when a decision lands. So [agreement] keeps the fold's
-   outcome up to date instead of redoing it: [logs] holds, per replica,
-   the log last folded in (and its size); [holders] maps each instance
-   to its distinct decided commands, each with the number of replicas
-   holding it; [conflicts] counts the commands beyond the first,
-   summed over instances. A replica whose log is physically the one
-   folded in last costs one comparison; any other log is diffed
-   against it, and a replica gone from the view against the empty
+   outcome up to date instead of redoing it. The memo holds logs only:
+   [logs] maps each replica to the log last folded in; [holders] maps
+   each instance to its distinct decided commands, each with the number
+   of replicas holding it; [conflicts] counts the commands beyond the
+   first, summed over instances. A replica whose log is physically the
+   one folded in last costs one comparison; any other log is diffed
+   against it with [Int_map.diff], which skips the subtrees the two
+   share, and a replica gone from the view is diffed against the empty
    log — so crashes, amnesia (a log that shrank) and unrelated explorer
    worlds visited in any order all stay exact. One memo per domain
    (DLS): explorer workers check properties concurrently. *)
 type agreement_memo = {
-  mutable logs : (cmd Int_map.t * int) Proto.Node_id.Map.t;
+  mutable logs : cmd Int_map.t Proto.Node_id.Map.t;
   holders : (int, (cmd * int) list) Hashtbl.t;
   mutable conflicts : int;
 }
@@ -164,8 +165,10 @@ let agreement_memo =
   Domain.DLS.new_key (fun () ->
       { logs = Proto.Node_id.Map.empty; holders = Hashtbl.create 64; conflicts = 0 })
 
-let hold m inst cmd =
-  match Hashtbl.find m.holders inst with
+(* The diff callbacks: the memo is the accumulator, so they are
+   top-level functions and the diff allocates no closure. *)
+let hold inst cmd m =
+  (match Hashtbl.find m.holders inst with
   | exception Not_found -> Hashtbl.add m.holders inst [ (cmd, 1) ]
   | held ->
       let rec bump = function
@@ -175,40 +178,27 @@ let hold m inst cmd =
         | (c, k) :: rest when c = cmd -> (c, k + 1) :: rest
         | h :: rest -> h :: bump rest
       in
-      Hashtbl.replace m.holders inst (bump held)
+      Hashtbl.replace m.holders inst (bump held));
+  m
 
-let release m inst cmd =
+let release inst cmd m =
   let held = Hashtbl.find m.holders inst in
   let rec drop = function
     | [] -> []
     | (c, k) :: rest when c = cmd -> if k > 1 then (c, k - 1) :: rest else rest
     | h :: rest -> h :: drop rest
   in
-  match drop held with
+  (match drop held with
   | [] -> Hashtbl.remove m.holders inst
   | held' ->
       if List.compare_lengths held' held < 0 then m.conflicts <- m.conflicts - 1;
-      Hashtbl.replace m.holders inst held'
+      Hashtbl.replace m.holders inst held');
+  m
 
-(* Fold the change from [old] (of [size] bindings) to [log] into the
-   memo; returns the size of [log]. *)
-let absorb m ~old ~size log =
-  let seen = ref 0 and kept = ref 0 in
-  Int_map.iter
-    (fun inst cmd ->
-      incr seen;
-      match Int_map.find inst old with
-      | c ->
-          incr kept;
-          if not (c == cmd || c = cmd) then begin
-            release m inst c;
-            hold m inst cmd
-          end
-      | exception Not_found -> hold m inst cmd)
-    log;
-  if !kept < size then
-    Int_map.iter (fun inst c -> if not (Int_map.mem inst log) then release m inst c) old;
-  !seen
+let rehold inst old cmd m = if old = cmd then m else hold inst cmd (release inst old m)
+
+(* Fold the change from [old] to [log] into the memo. *)
+let absorb m old log = ignore (Int_map.diff ~added:hold ~removed:release ~changed:rehold old log m)
 
 let agreement ~decided (view : _ Proto.View.t) =
   let m = Domain.DLS.get agreement_memo in
@@ -217,23 +207,25 @@ let agreement ~decided (view : _ Proto.View.t) =
     (fun (id, st) ->
       let log = decided st in
       match Proto.Node_id.Map.find id m.logs with
-      | old, size ->
+      | old ->
           incr present;
-          if old != log then
-            m.logs <- Proto.Node_id.Map.add id (log, absorb m ~old ~size log) m.logs
+          if old != log then begin
+            absorb m old log;
+            m.logs <- Proto.Node_id.Map.add id log m.logs
+          end
       | exception Not_found ->
           if not (Int_map.is_empty log) then begin
             incr present;
-            m.logs <-
-              Proto.Node_id.Map.add id (log, absorb m ~old:Int_map.empty ~size:0 log) m.logs
+            absorb m Int_map.empty log;
+            m.logs <- Proto.Node_id.Map.add id log m.logs
           end)
     view.nodes;
   if !present < Proto.Node_id.Map.cardinal m.logs then
     m.logs <-
       Proto.Node_id.Map.filter
-        (fun id (old, _) ->
+        (fun id old ->
           let stays = List.exists (fun (id', _) -> Proto.Node_id.equal id id') view.nodes in
-          if not stays then Int_map.iter (release m) old;
+          if not stays then absorb m old Int_map.empty;
           stays)
         m.logs;
   m.conflicts = 0

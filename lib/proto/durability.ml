@@ -69,23 +69,38 @@ let v ?(snapshot_every = 32) ?equal ?log ?replay ?restore codec =
   in
   { codec; log; replay; restore; snapshot_every }
 
+(** A persistent map that can fold over what changed between two of
+    its versions, such as {!Core.Intmap}. *)
+module type DIFF = sig
+  type key
+  type 'a t
+
+  val diff :
+    added:(key -> 'a -> 'b -> 'b) ->
+    removed:(key -> 'a -> 'b -> 'b) ->
+    changed:(key -> 'a -> 'a -> 'b -> 'b) ->
+    'a t ->
+    'a t ->
+    'b ->
+    'b
+end
+
 (** The delta a map-shaped durable field contributes to one WAL record.
 
     [changed prev next] lists every binding of [next] that [prev] lacks
     or holds a different value for, in descending key order; bindings
-    [next] dropped are not listed. A field the transition left alone is
-    still the same map and costs one physical comparison; a changed one
-    is walked once, and a value still shared with [prev] passes before
-    any structural comparison. The walk allocates only the returned
+    [next] dropped are not listed. It is one [M.diff], so its cost is
+    proportional to the change, not to the size of the map: a field
+    the transition left alone is still the same map and costs one
+    physical comparison, subtrees [next] still shares with [prev] are
+    skipped unvisited, and a value still shared with [prev] passes
+    before any structural comparison. It allocates only the returned
     list. *)
-module Delta (M : Map.S) = struct
+module Delta (M : DIFF) = struct
+  let added k v acc = (k, v) :: acc
+  let removed _ _ acc = acc
+  let rewritten k v' v acc = if v' = v then acc else (k, v) :: acc
+
   let changed prev next =
-    if prev == next then []
-    else
-      M.fold
-        (fun k v acc ->
-          match M.find k prev with
-          | v' when v' == v || v' = v -> acc
-          | _ | (exception Not_found) -> (k, v) :: acc)
-        next []
+    if prev == next then [] else M.diff ~added ~removed ~changed:rewritten prev next []
 end
