@@ -73,7 +73,6 @@ module Work_sharing = struct
         let alternative w =
           Core.Choice.alt
             ~features:[ ("rtt_ms", Proto.Ctx.predicted_ms ctx w) ]
-            ~describe:(Format.asprintf "%a" Proto.Node_id.pp w)
             w
         in
         let target =

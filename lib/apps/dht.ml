@@ -208,7 +208,6 @@ end = struct
                 ("remaining", float_of_int (distance fpos key));
                 ("rtt_ms", Proto.Ctx.predicted_ms ctx finger);
               ]
-            ~describe:(Format.asprintf "%a" Proto.Node_id.pp finger)
             finger
         in
         let next =

@@ -246,7 +246,7 @@ end = struct
                       ("block_id", float_of_int block);
                       ("rarity", float_of_int (rarity st block));
                     ]
-                  ~describe:(string_of_int block) block
+                  block
               in
               let block =
                 ctx.choose (Core.Choice.make ~label:block_label (List.map alternative candidates))

@@ -158,7 +158,7 @@ end = struct
     }
 
   let last_seen st peer =
-    List.assoc_opt peer st.last_exchange
+    List.find_map (fun (p, t) -> if Proto.Node_id.equal p peer then Some t else None) st.last_exchange
 
   let merge st rumors =
     { st with known = Int_set.union st.known (Int_set.of_list rumors) }
@@ -197,17 +197,17 @@ end = struct
      majority of peers has crossed the phi threshold (suspicion = 1),
      leave only once a majority has dropped back below 0.5. Reads the
      shared detector only — no RNG, so benign runs are untouched. *)
-  let suspicious_majority (ctx : Proto.Ctx.t) st ~cutoff =
+  let suspicious_majority (ctx : Proto.Ctx.t) peers ~cutoff =
     let suspected =
-      List.length (List.filter (fun p -> Proto.Ctx.suspicion ctx p >= cutoff) (peers st))
+      List.fold_left (fun n p -> if Proto.Ctx.suspicion ctx p >= cutoff then n + 1 else n) 0 peers
     in
     2 * suspected > P.population - 1
 
-  let update_degraded ctx st =
+  let update_degraded ctx st peers =
     if st.degraded then
-      if suspicious_majority ctx st ~cutoff:0.5 then st
+      if suspicious_majority ctx peers ~cutoff:0.5 then st
       else { st with degraded = false; deg_exits = st.deg_exits + 1 }
-    else if suspicious_majority ctx st ~cutoff:1.0 then
+    else if suspicious_majority ctx peers ~cutoff:1.0 then
       { st with degraded = true; deg_entries = st.deg_entries + 1 }
     else st
 
@@ -219,13 +219,14 @@ end = struct
     match id with
     | "round" ->
         let st = { st with round = st.round + 1 } in
-        let st = update_degraded ctx st in
+        let peers = peers st in
+        let st = update_degraded ctx st peers in
         let rearm = Proto.Action.set_timer ~id:"round" ~after:P.round_period in
         if Int_set.is_empty st.known then (st, [ rearm ])
         else begin
           let now = Dsim.Vtime.to_seconds ctx.now in
           let candidates =
-            Dsim.Rng.sample_without_replacement ctx.rng P.candidate_cap (peers st)
+            Dsim.Rng.sample_without_replacement ctx.rng P.candidate_cap peers
           in
           (* Skip peers the detector currently suspects: pushes to them
              are wasted bandwidth while they are silent. The sample draw
@@ -259,7 +260,6 @@ end = struct
                   ( "age_s",
                     match last_seen st peer with Some t -> now -. t | None -> 1e6 );
                 ]
-              ~describe:(Format.asprintf "%a" Proto.Node_id.pp peer)
               peer
           in
           match candidates with

@@ -663,7 +663,6 @@ end = struct
               float_of_int (Option.value ~default:0 (List.assoc_opt r st.known_seq)) );
             ("floor", float_of_int (max st.read_floor st.write_floor));
           ]
-        ~describe:(Format.asprintf "%a" Proto.Node_id.pp r)
         r
     in
     ctx.choose (Core.Choice.make ~label:read_label (List.map alternative candidates))

@@ -659,7 +659,6 @@ end = struct
             ( "rtt_ms",
               if rid = self_int st then 0. else Proto.Ctx.predicted_ms ctx replica );
           ]
-        ~describe:(Format.asprintf "%a" Proto.Node_id.pp replica)
         replica
     in
     ctx.choose (Core.Choice.make ~label:proposer_label (List.map alternative replicas))

@@ -171,7 +171,6 @@ end = struct
                     ("age_s", now -. seen);
                     ("rtt_ms", Proto.Ctx.predicted_ms ctx child);
                   ]
-                ~describe:(Format.asprintf "%a" Proto.Node_id.pp child)
                 child
             in
             let target =

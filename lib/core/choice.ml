@@ -1,12 +1,11 @@
 type 'a alternative = {
   value : 'a;
   features : (string * float) list;
-  describe : string;
 }
 
 type 'a t = { label : string; alternatives : 'a alternative list }
 
-let alt ?(features = []) ?(describe = "-") value = { value; features; describe }
+let alt ?(features = []) value = { value; features }
 
 let make ~label alternatives =
   if String.length label = 0 then invalid_arg "Choice.make: empty label";

@@ -3,22 +3,22 @@
     Instead of hard-coding a policy ("forward the join to a random
     child"), a handler builds a {!t} listing the alternatives it could
     take, each annotated with a label and a feature vector, and asks the
-    runtime to pick one. The runtime sees only the label, the
-    per-alternative features and the arity — never the application
-    values — so one resolver implementation serves every protocol. *)
+    runtime to pick one. The label, the per-alternative features and the
+    arity are all a resolver sees — never the application values — so
+    one resolver implementation serves every protocol. An alternative
+    carries nothing else: anything a policy should weigh goes into its
+    features. *)
 
 type 'a alternative = {
   value : 'a;
   features : (string * float) list;
       (** numeric hints the resolver may use, e.g.
           [("rtt_ms", 12.); ("depth", 3.)] *)
-  describe : string;  (** for traces and debugging *)
 }
 
 type 'a t = private { label : string; alternatives : 'a alternative list }
 
-val alt : ?features:(string * float) list -> ?describe:string -> 'a -> 'a alternative
-(** [describe] defaults to ["-"]. *)
+val alt : ?features:(string * float) list -> 'a -> 'a alternative
 
 val make : label:string -> 'a alternative list -> 'a t
 (** @raise Invalid_argument if the alternative list is empty or the

@@ -322,7 +322,7 @@ module Make (App : Proto.App_intf.APP) = struct
     rng : Dsim.Rng.t;
     netem : Net.Netem.t;
     netmodel : Net.Netmodel.t;
-    nm_links : (int * int, Net.Netmodel.link) Hashtbl.t;
+    nm_links : Net.Netmodel.link Net.Pair_tbl.t;
         (* per-(src,dst) netmodel handles so each delivery does one
            lookup here instead of three inside the model; bound to
            [netmodel]'s cells, so forks get a fresh empty table *)
@@ -424,7 +424,7 @@ module Make (App : Proto.App_intf.APP) = struct
       rng;
       netem = Net.Netem.create ~jitter ~rng:netem_rng topology;
       netmodel = Net.Netmodel.create ();
-      nm_links = Hashtbl.create 64;
+      nm_links = Net.Pair_tbl.create 64;
       fd = Net.Failure_detector.create ();
       fd_enabled = true;
       rel = None;
@@ -808,7 +808,7 @@ module Make (App : Proto.App_intf.APP) = struct
       netmodel = Net.Netmodel.copy t.netmodel;
       (* the copy has its own cells; inherited handles would silently
          mutate the parent's model *)
-      nm_links = Hashtbl.create 16;
+      nm_links = Net.Pair_tbl.create 16;
       fd = Net.Failure_detector.copy t.fd;
       rel =
         Option.map
@@ -1070,11 +1070,11 @@ module Make (App : Proto.App_intf.APP) = struct
 
   let nm_link t ~se ~de =
     let key = (se, de) in
-    match Hashtbl.find_opt t.nm_links key with
+    match Net.Pair_tbl.find_opt t.nm_links key with
     | Some l -> l
     | None ->
         let l = Net.Netmodel.link t.netmodel ~src:se ~dst:de in
-        Hashtbl.replace t.nm_links key l;
+        Net.Pair_tbl.replace t.nm_links key l;
         l
 
   let drop t ~src ~dst ~cause pp_payload =
@@ -2019,13 +2019,7 @@ module Make (App : Proto.App_intf.APP) = struct
               | several ->
                   (* NFA ambiguity: which handler runs is itself a choice. *)
                   let ctx = make_ctx t dst in
-                  let choice =
-                    Core.Choice.make ~label:("handler:" ^ kind)
-                      (List.map
-                         (fun (h : _ Proto.Handler.t) -> Core.Choice.alt ~describe:h.name h)
-                         several)
-                  in
-                  let h = ctx.choose choice in
+                  let h = ctx.choose (Core.Choice.of_values ~label:("handler:" ^ kind) several) in
                   apply_handler_result t dst (h.handle ctx n.state ~src msg)
               end
             end

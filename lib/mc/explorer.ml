@@ -266,6 +266,9 @@ module Make (App : Proto.App_intf.APP) = struct
   type shard = {
     c_deliver : outcome list Dcache.t;  (* [] encodes "no applicable handler" *)
     c_timer : outcome list Tcache.t;
+    c_visited : (int, int list ref) Hashtbl.t;
+        (* one explore's dedup shard, reset at its start; see
+           [explore_levels] *)
     mutable c_hits : int;
     mutable c_lookups : int;  (* hits + misses, for hit-rate profiling *)
   }
@@ -279,8 +282,17 @@ module Make (App : Proto.App_intf.APP) = struct
      more workers than the cache has seen before. *)
   type cache = { mutable shards : shard array }
 
+  (* Every table starts small and grows with use: a cache made at its
+     full size would put 34 KB into the major heap at each steering
+     attach, whatever the run then needs. *)
   let create_shard () =
-    { c_deliver = Dcache.create 4096; c_timer = Tcache.create 256; c_hits = 0; c_lookups = 0 }
+    {
+      c_deliver = Dcache.create 16;
+      c_timer = Tcache.create 16;
+      c_visited = Hashtbl.create 16;
+      c_hits = 0;
+      c_lookups = 0;
+    }
 
   let create_cache () = { shards = [| create_shard () |] }
 
@@ -485,10 +497,12 @@ module Make (App : Proto.App_intf.APP) = struct
        the key, never on [w]'s partitioning of the frontier, and the
        budget is applied afterwards by a sequential in-order merge —
        see DESIGN.md §8 for why verdicts stay byte-identical to
-       [domains = 1]. *)
-    let visited : (int, int list ref) Hashtbl.t array =
-      Array.init w (fun _ -> Hashtbl.create 1024)
-    in
+       [domains = 1]. Shard [k] of the visited table lives in cache
+       shard [k] and is reset here, so the many explores of a few worlds
+       each that steering makes allocate no table; [reset] also shrinks
+       a table that a large explore grew back to its initial size. *)
+    let visited = Array.init w (fun k -> cache.shards.(k).c_visited) in
+    Array.iter Hashtbl.reset visited;
     let shard_of k1 = (k1 land max_int) mod w in
     let collisions = ref 0 in
     let violations = ref [] in

@@ -65,8 +65,11 @@ module Make (App : Proto.App_intf.APP) : sig
       only [outcomes_cached]. Internally sharded: worker [k] of a
       parallel phase owns shard [k] exclusively, and the shards persist
       inside this value, so every worker's memoized outcomes survive
-      across calls — not just the sequential caller's. Share one cache
-      with at most one explore at a time. *)
+      across calls — not just the sequential caller's. Each shard also
+      keeps its worker's dedup table, emptied at the start of every
+      explore, so repeated small explores allocate none. Every table
+      starts small and grows with use. Share one cache with at most one
+      explore at a time. *)
   type cache
 
   val create_cache : unit -> cache

@@ -15,7 +15,7 @@ type t = {
   failure_threshold : int;
   cooldown : float;
   half_open_probes : int;
-  pairs : (int * int, pair) Hashtbl.t;
+  pairs : pair Pair_tbl.t;
 }
 
 let create ?(failure_threshold = 3) ?(cooldown = 5.0) ?(half_open_probes = 1) () =
@@ -25,19 +25,19 @@ let create ?(failure_threshold = 3) ?(cooldown = 5.0) ?(half_open_probes = 1) ()
     invalid_arg "Circuit_breaker.create: cooldown must be positive";
   if half_open_probes <= 0 then
     invalid_arg "Circuit_breaker.create: half_open_probes must be positive";
-  { failure_threshold; cooldown; half_open_probes; pairs = Hashtbl.create 16 }
+  { failure_threshold; cooldown; half_open_probes; pairs = Pair_tbl.create 16 }
 
 let copy t =
-  let pairs = Hashtbl.create (Hashtbl.length t.pairs) in
-  Hashtbl.iter (fun k p -> Hashtbl.add pairs k { p with failures = p.failures }) t.pairs;
+  let pairs = Pair_tbl.create (Pair_tbl.length t.pairs) in
+  Pair_tbl.iter (fun k p -> Pair_tbl.add pairs k { p with failures = p.failures }) t.pairs;
   { t with pairs }
 
 let get t ~src ~dst =
-  match Hashtbl.find_opt t.pairs (src, dst) with
+  match Pair_tbl.find_opt t.pairs (src, dst) with
   | Some p -> p
   | None ->
       let p = { failures = 0; opened_at = Dsim.Vtime.zero; is_open = false; probes = 0 } in
-      Hashtbl.add t.pairs (src, dst) p;
+      Pair_tbl.add t.pairs (src, dst) p;
       p
 
 (* Elapsed time since the trip is clamped at zero: a cooldown judged
@@ -48,7 +48,7 @@ let half_open t p ~now =
   p.is_open && Float.max 0. (Dsim.Vtime.diff now p.opened_at) >= t.cooldown
 
 let state t ~src ~dst ~now =
-  match Hashtbl.find_opt t.pairs (src, dst) with
+  match Pair_tbl.find_opt t.pairs (src, dst) with
   | None -> Closed
   | Some p ->
       if not p.is_open then Closed
@@ -75,7 +75,7 @@ let record_failure t ~src ~dst ~now =
   end
 
 let record_success t ~src ~dst =
-  match Hashtbl.find_opt t.pairs (src, dst) with
+  match Pair_tbl.find_opt t.pairs (src, dst) with
   | None -> ()
   | Some p ->
       p.failures <- 0;
@@ -107,4 +107,4 @@ let acquire t ~src ~dst ~now =
       else false
 
 let open_pairs t ~now:_ =
-  Hashtbl.fold (fun _ p acc -> if p.is_open then acc + 1 else acc) t.pairs 0
+  Pair_tbl.fold (fun _ p acc -> if p.is_open then acc + 1 else acc) t.pairs 0

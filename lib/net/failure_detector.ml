@@ -23,7 +23,7 @@ type t = {
   threshold : float;
   bootstrap_interval : float;
   min_samples : int;
-  cells : (int * int, cell) Hashtbl.t;  (* (observer, peer) *)
+  cells : cell Pair_tbl.t;  (* (observer, peer) *)
 }
 
 let create ?(alpha = 0.25) ?(threshold = 8.) ?(bootstrap_interval = 1.) ?(min_samples = 3) () =
@@ -32,11 +32,11 @@ let create ?(alpha = 0.25) ?(threshold = 8.) ?(bootstrap_interval = 1.) ?(min_sa
   if bootstrap_interval <= 0. then
     invalid_arg "Failure_detector.create: non-positive bootstrap interval";
   if min_samples < 1 then invalid_arg "Failure_detector.create: min_samples < 1";
-  { alpha; threshold; bootstrap_interval; min_samples; cells = Hashtbl.create 64 }
+  { alpha; threshold; bootstrap_interval; min_samples; cells = Pair_tbl.create 64 }
 
 let copy t =
-  let cells = Hashtbl.create (Hashtbl.length t.cells) in
-  Hashtbl.iter (fun k (c : cell) -> Hashtbl.replace cells k { c with mean = c.mean }) t.cells;
+  let cells = Pair_tbl.create (Pair_tbl.length t.cells) in
+  Pair_tbl.iter (fun k (c : cell) -> Pair_tbl.replace cells k { c with mean = c.mean }) t.cells;
   { t with cells }
 
 let threshold t = t.threshold
@@ -69,9 +69,9 @@ let phi_of t c ~now =
    the recovery edge the engine counts. *)
 let heartbeat t ~observer ~peer ~now =
   let key = (observer, peer) in
-  match Hashtbl.find_opt t.cells key with
+  match Pair_tbl.find_opt t.cells key with
   | None ->
-      Hashtbl.replace t.cells key { mean = 0.; n = 1; at = now };
+      Pair_tbl.replace t.cells key { mean = 0.; n = 1; at = now };
       false
   | Some c ->
       let was_suspected = phi_of t c ~now >= t.threshold in
@@ -90,7 +90,7 @@ let heartbeat t ~observer ~peer ~now =
       was_suspected
 
 let phi t ~observer ~peer ~now =
-  match Hashtbl.find_opt t.cells (observer, peer) with
+  match Pair_tbl.find_opt t.cells (observer, peer) with
   | None -> 0.
   | Some c -> phi_of t c ~now
 
@@ -100,8 +100,8 @@ let suspicion t ~observer ~peer ~now =
 let suspected t ~observer ~peer ~now = phi t ~observer ~peer ~now >= t.threshold
 
 let samples t ~observer ~peer =
-  match Hashtbl.find_opt t.cells (observer, peer) with None -> 0 | Some c -> c.n
+  match Pair_tbl.find_opt t.cells (observer, peer) with None -> 0 | Some c -> c.n
 
 let known_peers t ~observer =
-  Hashtbl.fold (fun (o, p) _ acc -> if o = observer then p :: acc else acc) t.cells []
+  Pair_tbl.fold (fun (o, p) _ acc -> if o = observer then p :: acc else acc) t.cells []
   |> List.sort_uniq compare

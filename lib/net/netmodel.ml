@@ -10,9 +10,9 @@ type cell = { mutable ewma : float; mutable n : int; mutable at : Dsim.Vtime.t }
 type t = {
   alpha : float;
   half_life : float;
-  latencies : (int * int, cell) Hashtbl.t;
-  bandwidths : (int * int, cell) Hashtbl.t;
-  losses : (int * int, cell) Hashtbl.t;
+  latencies : cell Pair_tbl.t;
+  bandwidths : cell Pair_tbl.t;
+  losses : cell Pair_tbl.t;
 }
 
 let create ?(alpha = 0.3) ?(half_life = 30.) () =
@@ -21,15 +21,15 @@ let create ?(alpha = 0.3) ?(half_life = 30.) () =
   {
     alpha;
     half_life;
-    latencies = Hashtbl.create 64;
-    bandwidths = Hashtbl.create 64;
-    losses = Hashtbl.create 64;
+    latencies = Pair_tbl.create 64;
+    bandwidths = Pair_tbl.create 64;
+    losses = Pair_tbl.create 64;
   }
 
 let copy t =
   let deep table =
-    let fresh = Hashtbl.create (Hashtbl.length table) in
-    Hashtbl.iter (fun k (c : cell) -> Hashtbl.replace fresh k { c with ewma = c.ewma }) table;
+    let fresh = Pair_tbl.create (Pair_tbl.length table) in
+    Pair_tbl.iter (fun k (c : cell) -> Pair_tbl.replace fresh k { c with ewma = c.ewma }) table;
     fresh
   in
   {
@@ -57,11 +57,11 @@ let observe_cell t (c : cell) now x =
   end
 
 let cell_of table key =
-  match Hashtbl.find_opt table key with
+  match Pair_tbl.find_opt table key with
   | Some c -> c
   | None ->
       let c = blank_cell () in
-      Hashtbl.replace table key c;
+      Pair_tbl.replace table key c;
       c
 
 let observe t table ~src ~dst now x = observe_cell t (cell_of table (src, dst)) now x
@@ -91,7 +91,7 @@ let observe_link_loss t l now ~delivered =
 let no_estimate = { value = 0.; confidence = 0.; samples = 0; last_update = None }
 
 let read t table ~src ~dst ~now =
-  match Hashtbl.find_opt table (src, dst) with
+  match Pair_tbl.find_opt table (src, dst) with
   | None -> no_estimate
   | Some c when c.n = 0 -> no_estimate
   | Some c ->
@@ -103,19 +103,24 @@ let latency t ~src ~dst ~now = read t t.latencies ~src ~dst ~now
 let bandwidth t ~src ~dst ~now = read t t.bandwidths ~src ~dst ~now
 let loss t ~src ~dst ~now = read t t.losses ~src ~dst ~now
 
-let predict_path t ~src ~dst ~now =
-  let l = latency t ~src ~dst ~now in
-  if l.samples = 0 then None
-  else
-    let bw =
-      let b = bandwidth t ~src ~dst ~now in
-      if b.samples = 0 then 1_048_576. else Float.max 1. b.value
-    in
-    let p =
-      let x = loss t ~src ~dst ~now in
-      if x.samples = 0 then 0. else Float.min 1. (Float.max 0. x.value)
-    in
-    Some (Linkprop.v ~latency:(Float.max 0. l.value) ~bandwidth:bw ~loss:p)
+(* Reads the three cells directly: a prediction needs no confidence, so
+   it skips the [exp] that {!read} computes for one. *)
+let predict_path t ~src ~dst ~now:_ =
+  let key = (src, dst) in
+  match Pair_tbl.find_opt t.latencies key with
+  | Some l when l.n > 0 ->
+      let bw =
+        match Pair_tbl.find_opt t.bandwidths key with
+        | Some b when b.n > 0 -> Float.max 1. b.ewma
+        | Some _ | None -> 1_048_576.
+      in
+      let p =
+        match Pair_tbl.find_opt t.losses key with
+        | Some x when x.n > 0 -> Float.min 1. (Float.max 0. x.ewma)
+        | Some _ | None -> 0.
+      in
+      Some (Linkprop.v ~latency:(Float.max 0. l.ewma) ~bandwidth:bw ~loss:p)
+  | Some _ | None -> None
 
 let predict_transfer_time t ~src ~dst ~now ~bytes =
   match predict_path t ~src ~dst ~now with
@@ -127,7 +132,7 @@ let predict_transfer_time t ~src ~dst ~now ~bytes =
       Some (once *. retries)
 
 let known_pairs t =
-  let keys table = Hashtbl.fold (fun k c acc -> if c.n > 0 then k :: acc else acc) table [] in
+  let keys table = Pair_tbl.fold (fun k c acc -> if c.n > 0 then k :: acc else acc) table [] in
   List.sort_uniq compare (keys t.latencies @ keys t.bandwidths @ keys t.losses)
 
 let forget_before t cutoff =
@@ -135,7 +140,7 @@ let forget_before t cutoff =
      are indistinguishable to every reader, and resetting keeps
      outstanding {!link} handles wired to the cell the table holds. *)
   let prune table =
-    Hashtbl.iter
+    Pair_tbl.iter
       (fun _ c ->
         if c.n > 0 && Dsim.Vtime.(c.at < cutoff) then begin
           c.ewma <- 0.;
@@ -150,7 +155,7 @@ let forget_before t cutoff =
 
 let merge_from dst src ~now =
   let merge_table mine theirs =
-    Hashtbl.iter
+    Pair_tbl.iter
       (fun key (c : cell) ->
         if c.n > 0 then
           (* Imports overwrite the existing cell in place (when there is
@@ -160,8 +165,8 @@ let merge_from dst src ~now =
             d.n <- c.n;
             d.at <- c.at
           in
-          match Hashtbl.find_opt mine key with
-          | None -> Hashtbl.replace mine key { ewma = c.ewma; n = c.n; at = c.at }
+          match Pair_tbl.find_opt mine key with
+          | None -> Pair_tbl.replace mine key { ewma = c.ewma; n = c.n; at = c.at }
           | Some existing when existing.n = 0 -> import existing
           | Some existing ->
               let conf (cell : cell) =
