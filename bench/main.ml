@@ -608,13 +608,13 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 (* Worlds/second of consequence prediction: the retired digest engine
-   (kept as Mc.Explorer_ref, the differential-test oracle) against the
-   fingerprinted worklist engine, on snapshots frozen out of live paxos
-   and randtree runs at the steering defaults (depth 3, max_worlds
-   5000). Also times a full steering round (base explore plus one
-   re-explore per candidate veto) both cold and with the runtime's
-   persistent transposition cache. Results go to stdout and to
-   BENCH_explorer.json in the working directory. *)
+   (kept as Test_support.Explorer_ref, the differential-test oracle)
+   against the fingerprinted worklist engine, on snapshots frozen out
+   of live paxos and randtree runs at the steering defaults (depth 3,
+   max_worlds 5000). Also times a full steering round (base explore
+   plus one re-explore per candidate veto) both cold and with the
+   runtime's persistent transposition cache. Results go to stdout and
+   to BENCH_explorer.json in the working directory. *)
 
 type ex_measure = {
   worlds_per_run : int;
@@ -629,8 +629,6 @@ type ex_row = {
   ex_drops : bool;
   before : ex_measure;
   after : ex_measure;
-  after_par : ex_measure;
-  par_domains : int;
   steer_before_ms : float;
   steer_after_ms : float;
   steer_warm_ms : float;
@@ -641,7 +639,7 @@ type ex_row = {
 
 module Ex_bench (App : Proto.App_intf.APP) = struct
   module Ex = Mc.Explorer.Make (App)
-  module Ref = Mc.Explorer_ref.Make (App)
+  module Ref = Test_support.Explorer_ref.Make (App)
   module St = Mc.Steering.Make (App)
 
   let ref_world_of (w : Ex.world) : Ref.world =
@@ -718,18 +716,6 @@ module Ex_bench (App : Proto.App_intf.APP) = struct
     in
     let ms_old = time_ms ~min_time (fun () -> Ref.explore ~include_drops ~max_worlds ~depth refw) in
     let ms_new = time_ms ~min_time (fun () -> Ex.explore ~include_drops ~max_worlds ~depth w) in
-    let par_domains = max 2 (min 8 (Domain.recommended_domain_count ())) in
-    (* One persistent pool across every timed run — the deployment
-       shape (Crystal spawns its pool once per attach), and the whole
-       point of the pool: domain spawn/join never lands in the timed
-       region. *)
-    let pool = Core.Pool.create ~domains:par_domains in
-    let ms_par =
-      Fun.protect
-        ~finally:(fun () -> Core.Pool.shutdown pool)
-        (fun () ->
-          time_ms ~min_time (fun () -> Ex.explore ~include_drops ~pool ~max_worlds ~depth w))
-    in
     let steer_before_ms =
       time_ms ~min_time (fun () -> ref_steer_round ~include_drops ~max_worlds ~depth refw)
     in
@@ -748,8 +734,6 @@ module Ex_bench (App : Proto.App_intf.APP) = struct
       ex_drops = include_drops;
       before = measure r_old.Ref.worlds_explored ms_old;
       after = measure r_new.Ex.worlds_explored ms_new;
-      after_par = measure r_new.Ex.worlds_explored ms_par;
-      par_domains;
       steer_before_ms;
       steer_after_ms;
       steer_warm_ms;
@@ -832,12 +816,7 @@ let ex_emit_json rows =
       p "      \"explore\": {\n";
       p "        \"before\": %s,\n" (measure_json "digest-dfs" r.before);
       p "        \"after\": %s,\n" (measure_json "fingerprint-worklist" r.after);
-      p "        \"after_parallel\": { \"domains\": %d, %s },\n" r.par_domains
-        (let s = measure_json "fingerprint-worklist" r.after_par in
-         String.sub s 2 (String.length s - 4));
-      p "        \"speedup\": %.2f,\n" (r.after.worlds_per_sec /. r.before.worlds_per_sec);
-      p "        \"parallel_speedup\": %.2f\n"
-        (r.after_par.worlds_per_sec /. r.after.worlds_per_sec);
+      p "        \"speedup\": %.2f\n" (r.after.worlds_per_sec /. r.before.worlds_per_sec);
       p "      },\n";
       p "      \"steering_round\": {\n";
       p "        \"before_ms\": %.4f,\n" r.steer_before_ms;
@@ -865,7 +844,7 @@ let ex () =
     ]
   in
   Metrics.Report.print ~title:"consequence-prediction throughput (same worlds both engines)"
-    ~header:[ "scenario"; "worlds"; "before w/s"; "after w/s"; "speedup"; "domains w/s" ]
+    ~header:[ "scenario"; "worlds"; "before w/s"; "after w/s"; "speedup" ]
     (List.map
        (fun r ->
          [
@@ -874,7 +853,6 @@ let ex () =
            Printf.sprintf "%.0f" r.before.worlds_per_sec;
            Printf.sprintf "%.0f" r.after.worlds_per_sec;
            Printf.sprintf "%.1fx" (r.after.worlds_per_sec /. r.before.worlds_per_sec);
-           Printf.sprintf "%.0f (%d)" r.after_par.worlds_per_sec r.par_domains;
          ])
        rows);
   Metrics.Report.print ~title:"steering-round latency (base explore + per-veto re-explores)"
@@ -895,39 +873,7 @@ let ex () =
         r.deduped r.cached_warm r.collisions)
     rows;
   ex_emit_json rows;
-  Printf.printf "  wrote %s\n" ex_json_path;
-  (* Regression guard: a parallel explore must never be slower than the
-     sequential one (0.95 leaves room for timer noise). Only meaningful
-     with at least two real cores: on a single-core host every minor GC
-     must synchronise the idle worker domain's backup thread over the
-     one CPU, which alone costs 2-10x on this allocation-heavy loop —
-     a healthy pool and a broken one are indistinguishable there. *)
-  let cores = Domain.recommended_domain_count () in
-  if cores < 2 then
-    Printf.printf
-      "  parallel guard skipped: single-core host (parallel throughput is GC-sync noise here)\n"
-  else begin
-    let tolerance = 0.95 in
-    let failures =
-      List.filter_map
-        (fun r ->
-          let ratio = r.after_par.worlds_per_sec /. r.after.worlds_per_sec in
-          if ratio < tolerance then Some (r.scenario, ratio) else None)
-        rows
-    in
-    if failures <> [] then begin
-      List.iter
-        (fun (scenario, ratio) ->
-          Printf.eprintf
-            "PARALLEL REGRESSION: scenario %S runs at %.2fx sequential throughput with %d \
-             domains (tolerance %.2f on %d cores) — the domain pool is slower than one thread\n"
-            scenario ratio
-            (max 2 (min 8 cores))
-            tolerance cores)
-        failures;
-      exit 1
-    end
-  end
+  Printf.printf "  wrote %s\n" ex_json_path
 
 (* ---------- OBS: observability layer (trace gate + metrics overhead) ----------
 

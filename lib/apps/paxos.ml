@@ -154,7 +154,7 @@ let agreement_uncached ~decided view =
    share, and a replica gone from the view is diffed against the empty
    log — so crashes, amnesia (a log that shrank) and unrelated explorer
    worlds visited in any order all stay exact. One memo per domain
-   (DLS): explorer workers check properties concurrently. *)
+   (DLS): a check running on another domain gets its own. *)
 type agreement_memo = {
   mutable logs : cmd Int_map.t Proto.Node_id.Map.t;
   holders : (int, (cmd * int) list) Hashtbl.t;

@@ -1,5 +1,5 @@
 (* Reference implementation of consequence prediction, kept verbatim
-   from before the fingerprinted worklist rewrite of {!Explorer}.
+   from before the fingerprinted worklist rewrite of {!Mc.Explorer}.
 
    It digests every world by pretty-printing it through [Format] into
    an MD5 and explores by recursive DFS with restart-per-depth

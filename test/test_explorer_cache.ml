@@ -1,6 +1,6 @@
 (* One transposition cache shared across a sequence of explores must
    give every explore the result a fresh cache gives it. The cache also
-   holds the explorer's dedup tables, emptied at the start of each
+   holds the explorer's dedup table, emptied at the start of each
    explore, so a table that remembered an earlier explore's worlds would
    show here as extra dedups and fewer worlds explored. *)
 
@@ -44,7 +44,7 @@ type run = { name : string; world : Ex.world; depth : int; drops : bool; max_wor
 let run name ?(drops = false) ?(max_worlds = 100_000) ~depth world =
   { name; world; depth; drops; max_worlds }
 
-(* A large explore first, so the dedup tables grow and the small ones
+(* A large explore first, so the dedup table grows and the small ones
    after it start from a reset of a grown table; then different worlds,
    depths, drop modes and a run truncated by its budget; then the large
    one again and small ones after it. *)
@@ -66,8 +66,8 @@ let sequence () =
     run "b depth 1" ~depth:1 b;
   ]
 
-let explore ?pool ~cache r =
-  Ex.explore ~include_drops:r.drops ~max_worlds:r.max_worlds ?pool ~cache ~depth:r.depth r.world
+let explore ~cache r =
+  Ex.explore ~include_drops:r.drops ~max_worlds:r.max_worlds ~cache ~depth:r.depth r.world
 
 (* Everything except [outcomes_cached], which counts cache hits. *)
 let violations (r : Ex.result) =
@@ -86,9 +86,7 @@ let check_equal name (fresh : Ex.result) (shared : Ex.result) =
   checkb (name ^ ": truncated") fresh.truncated shared.truncated;
   check_strings (name ^ ": liveness_unmet") fresh.liveness_unmet shared.liveness_unmet
 
-(* [pool_for i] is the pool, if any, the [i]th explore of the shared
-   cache runs on. *)
-let shared_equals_fresh pool_for =
+let test_sequential () =
   let runs = sequence () in
   let fresh = List.map (fun r -> explore ~cache:(Ex.create_cache ()) r) runs in
   let large = List.hd fresh in
@@ -96,26 +94,12 @@ let shared_equals_fresh pool_for =
   checkb "the budget truncates one explore" true
     (List.exists (fun (f : Ex.result) -> f.truncated) fresh);
   let cache = Ex.create_cache () in
-  List.iteri
-    (fun i (r, f) -> check_equal r.name f (explore ?pool:(pool_for i) ~cache r))
+  List.iter
+    (fun (r, f) -> check_equal r.name f (explore ~cache r))
     (List.combine runs fresh)
-
-let test_sequential () = shared_equals_fresh (fun _ -> None)
-
-(* Every other explore leaves the pool out, so sequential explores also
-   run on a cache whose shards a pooled one has used. *)
-let test_pool () =
-  let pool = Core.Pool.create ~domains:2 in
-  Fun.protect
-    ~finally:(fun () -> Core.Pool.shutdown pool)
-    (fun () -> shared_equals_fresh (fun i -> if i mod 2 = 0 then Some pool else None))
 
 let () =
   Alcotest.run "explorer_cache"
     [
-      ( "shared cache",
-        [
-          Alcotest.test_case "sequential" `Quick test_sequential;
-          Alcotest.test_case "2-domain pool" `Quick test_pool;
-        ] );
+      ("shared cache", [ Alcotest.test_case "sequential" `Quick test_sequential ]);
     ]

@@ -344,18 +344,14 @@ let random_ops seed n =
 
 (* The memo is per domain: four domains replaying different sequences
    at once must each stay exact. *)
-let agreement_on_pool () =
-  let pool = Core.Pool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Core.Pool.shutdown pool)
-    (fun () ->
-      let wrong = Array.make 4 (-1) in
-      Core.Pool.run pool (fun k ->
-          wrong.(k) <-
-            List.fold_left
-              (fun acc s -> acc + replay_views (random_ops ((10 * k) + s) 400))
-              0 [ 0; 1; 2 ]);
-      Array.iteri (fun k n -> Alcotest.(check int) (Printf.sprintf "worker %d" k) 0 n) wrong)
+let agreement_on_domains () =
+  let replay k =
+    List.fold_left (fun acc s -> acc + replay_views (random_ops ((10 * k) + s) 400)) 0 [ 0; 1; 2 ]
+  in
+  let domains = List.init 4 (fun k -> Domain.spawn (fun () -> replay k)) in
+  List.iteri
+    (fun k d -> Alcotest.(check int) (Printf.sprintf "domain %d" k) 0 (Domain.join d))
+    domains
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -392,5 +388,5 @@ let () =
       ("wal-delta", qcheck [ test_delta_matches_fold ]);
       ( "agreement",
         qcheck [ test_agreement_matches_uncached ]
-        @ [ case "per-domain memo on a pool of 4" `Quick agreement_on_pool ] );
+        @ [ case "per-domain memo on a pool of 4" `Quick agreement_on_domains ] );
     ]

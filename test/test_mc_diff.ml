@@ -1,7 +1,8 @@
 (* Differential tests for the rewritten explorer: the fingerprinted
    worklist implementation (Mc.Explorer) is pinned against the
-   digest-based reference (Mc.Explorer_ref) on seeded lock, paxos and
-   randtree worlds, across include_drops and generic_node modes.
+   digest-based reference (Test_support.Explorer_ref) on seeded lock,
+   paxos and randtree worlds, across include_drops and generic_node
+   modes.
 
    Two comparison strengths, chosen per scenario:
 
@@ -24,17 +25,33 @@
      and byte-identical steering verdicts against a reference
      steering decision procedure run over the old explorer.
 
-   A second group checks that [domains] parallelism and shared
-   transposition caches never change any verdict. *)
+   A second group pins the explorer's exact results and checks that
+   shared transposition caches never change any verdict. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let check_strings = Alcotest.(check (list string))
 let nid = Proto.Node_id.of_int
 
+(* The exact result of one explore. [cached] is [outcomes_cached] from
+   a fresh cache. *)
+type pin = {
+  violations : string list;  (* [full_sig] *)
+  explored : int;
+  deduped : int;
+  collisions : int;
+  truncated : bool;
+  liveness_unmet : string list;
+  cached : int;
+}
+
+let pin ?(violations = []) ?(collisions = 0) ?(truncated = false) ?(liveness_unmet = [])
+    ~explored ~deduped ~cached () =
+  { violations; explored; deduped; collisions; truncated; liveness_unmet; cached }
+
 module Diff (App : Proto.App_intf.APP) = struct
   module Ex = Mc.Explorer.Make (App)
-  module Ref = Mc.Explorer_ref.Make (App)
+  module Ref = Test_support.Explorer_ref.Make (App)
   module Sn = Mc.Steering.Make (App)
 
   let ref_world_of (w : Ex.world) : Ref.world =
@@ -196,8 +213,7 @@ module Diff (App : Proto.App_intf.APP) = struct
         (List.sort_uniq compare
            (List.map (fun (v : Ex.violation) -> v.property) r_new.Ex.violations))
 
-  (* Everything except outcomes_cached (a partition statistic) must be
-     invariant in [domains] — including representative paths. *)
+  (* Violations with their representative paths. *)
   let full_sig (r : Ex.result) =
     List.map
       (fun (v : Ex.violation) ->
@@ -206,15 +222,14 @@ module Diff (App : Proto.App_intf.APP) = struct
           v.path)
       r.violations
 
-  let check_domains name ?max_worlds ?include_drops ?generic_node ~depth (w : Ex.world) =
-    let r1 = Ex.explore ?max_worlds ?include_drops ?generic_node ~domains:1 ~depth w in
-    let r4 = Ex.explore ?max_worlds ?include_drops ?generic_node ~domains:4 ~depth w in
-    check_strings (name ^ ": violations") (full_sig r1) (full_sig r4);
-    checki (name ^ ": worlds_explored") r1.Ex.worlds_explored r4.Ex.worlds_explored;
-    checki (name ^ ": worlds_deduped") r1.Ex.worlds_deduped r4.Ex.worlds_deduped;
-    checki (name ^ ": collisions") r1.Ex.fingerprint_collisions r4.Ex.fingerprint_collisions;
-    checkb (name ^ ": truncated") r1.Ex.truncated r4.Ex.truncated;
-    check_strings (name ^ ": liveness_unmet") r1.Ex.liveness_unmet r4.Ex.liveness_unmet
+  let check_pinned name (p : pin) (r : Ex.result) =
+    check_strings (name ^ ": violations") p.violations (full_sig r);
+    checki (name ^ ": worlds_explored") p.explored r.Ex.worlds_explored;
+    checki (name ^ ": worlds_deduped") p.deduped r.Ex.worlds_deduped;
+    checki (name ^ ": collisions") p.collisions r.Ex.fingerprint_collisions;
+    checkb (name ^ ": truncated") p.truncated r.Ex.truncated;
+    check_strings (name ^ ": liveness_unmet") p.liveness_unmet r.Ex.liveness_unmet;
+    checki (name ^ ": outcomes_cached") p.cached r.Ex.outcomes_cached
 
   let check_cache_reuse name ?include_drops ?generic_node ~depth (w : Ex.world) =
     let cache = Ex.create_cache () in
@@ -361,7 +376,7 @@ let test_randtree_differential () =
    value, and the dedup fingerprint must treat it as one: a world
    carrying honest + mutant copies of a message explores strictly more
    than a world carrying honest twins (whose two deliveries alias), and
-   exploring the mutated world stays invariant in [domains]. *)
+   exploring the mutated world gives its pinned result. *)
 let mutant_of m =
   let codec = Option.get PApp.msg_codec in
   let rng = Dsim.Rng.create 13 in
@@ -391,31 +406,105 @@ let test_mutant_worlds_never_alias () =
       checki "honest twins alias, mutant does not" (r_mixed.DP.Ex.worlds_deduped + 1)
         r_twins.DP.Ex.worlds_deduped
 
-let test_mutant_domains_determinism () =
+let test_mutant_pinned () =
   let w = paxos_world ~seed:3 in
   match w.DP.Ex.pending with
   | [] -> Alcotest.fail "frozen world has no pending messages"
   | (src, dst, m) :: rest ->
       let mixed = { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest } in
-      DP.check_domains "paxos-mutant/domains" ~include_drops:true ~depth:3 mixed
+      DP.check_pinned "paxos-mutant"
+        (pin ~explored:274 ~deduped:287 ~cached:245 ())
+        (DP.Ex.explore ~include_drops:true ~depth:3 mixed)
 
-(* ---------- domains and cache invariance ---------- *)
+(* ---------- pinned results and cache invariance ----------
 
-let test_domains_determinism () =
+   Only a change to the search itself may move these figures: its
+   order, its dedup, its budget. *)
+
+let lock_pins =
+  [
+    ( "safe",
+      pin ~explored:8 ~deduped:9 ~cached:8
+        ~violations:
+          [
+            "mutex@2:deliver(grant n0->n1);generic(grant ->n0)";
+            "mutex@2:generic(grant ->n0);generic(grant ->n1)";
+          ]
+        () );
+    ( "double-grant",
+      pin ~explored:16 ~deduped:33 ~cached:26
+        ~violations:
+          [
+            "mutex@2:deliver(grant n0->n1);deliver(grant n1->n0)";
+            "mutex@2:deliver(grant n0->n1);generic(grant ->n0)";
+            "mutex@2:deliver(grant n1->n0);generic(grant ->n1)";
+            "mutex@2:generic(grant ->n0);generic(grant ->n1)";
+          ]
+        () );
+    ( "flip-choice",
+      pin ~explored:4 ~deduped:5 ~cached:1
+        ~violations:[ "mutex@1:deliver(flip n0->n1)"; "mutex@1:generic(grant ->n1)" ]
+        () );
+    ( "timer-and-msgs",
+      pin ~explored:12 ~deduped:49 ~cached:35
+        ~violations:
+          [
+            "mutex@1:deliver(flip n0->n1)";
+            "mutex@1:timer(n1.grab)";
+            "mutex@2:drop(release n1->n0);deliver(flip n0->n1)";
+            "mutex@2:drop(release n1->n0);timer(n1.grab)";
+          ]
+        () );
+  ]
+
+let test_pinned () =
   List.iter
     (fun (name, w) ->
-      DL.check_domains (name ^ "/domains") ~include_drops:true ~generic_node:true ~depth:4 w)
+      DL.check_pinned name (List.assoc name lock_pins)
+        (DL.Ex.explore ~include_drops:true ~generic_node:true ~depth:4 w))
     lock_worlds;
-  DP.check_domains "paxos/domains" ~include_drops:true ~depth:3 (paxos_world ~seed:3);
-  DR.check_domains "randtree/domains" ~depth:2 (randtree_world ~seed:5 ~n:6 ~horizon:0.4)
-
-let test_domains_iterative () =
   let w = paxos_world ~seed:3 in
-  let d1, r1 = DP.Ex.iterative ~include_drops:true ~domains:1 ~max_depth:3 w in
-  let d4, r4 = DP.Ex.iterative ~include_drops:true ~domains:4 ~max_depth:3 w in
-  checki "iterative stop depth invariant in domains" d1 d4;
-  check_strings "iterative violations invariant in domains" (DP.full_sig r1) (DP.full_sig r4);
-  checki "iterative worlds invariant in domains" r1.DP.Ex.worlds_explored r4.DP.Ex.worlds_explored
+  DP.check_pinned "paxos"
+    (pin ~explored:157 ~deduped:140 ~cached:124 ())
+    (DP.Ex.explore ~include_drops:true ~depth:3 w);
+  DP.check_pinned "paxos depth 4"
+    (pin ~explored:502 ~deduped:635 ~cached:527 ())
+    (DP.Ex.explore ~include_drops:true ~max_worlds:100_000 ~depth:4 w);
+  DR.check_pinned "randtree"
+    (pin ~explored:1 ~deduped:0 ~cached:0 ())
+    (DR.Ex.explore ~depth:2 (randtree_world ~seed:5 ~n:6 ~horizon:0.4))
+
+let test_pinned_iterative () =
+  let d, r = DP.Ex.iterative ~include_drops:true ~max_depth:3 (paxos_world ~seed:3) in
+  checki "paxos: stop depth" 3 d;
+  DP.check_pinned "paxos" (pin ~explored:157 ~deduped:140 ~cached:124 ()) r;
+  List.iter
+    (fun (name, stop, p) ->
+      let d, r =
+        DL.Ex.iterative ~include_drops:true ~generic_node:true ~max_depth:4
+          (List.assoc name lock_worlds)
+      in
+      checki (name ^ ": stop depth") stop d;
+      DL.check_pinned name p r)
+    [
+      ("safe", 2, { (List.assoc "safe" lock_pins) with deduped = 6 });
+      ("double-grant", 2, { (List.assoc "double-grant" lock_pins) with deduped = 15 });
+      ("flip-choice", 1, { (List.assoc "flip-choice" lock_pins) with deduped = 1 });
+      ( "timer-and-msgs",
+        1,
+        pin ~explored:6 ~deduped:3 ~cached:16
+          ~violations:[ "mutex@1:deliver(flip n0->n1)"; "mutex@1:timer(n1.grab)" ]
+          () );
+    ]
+
+(* Depth 3 explores 157 worlds and depth 4 explores 502, so a budget of
+   200 runs out part way through level 4, with worlds of that level
+   still to come that duplicate earlier ones. They count towards
+   truncation, not dedup: the budget is checked before the dedup. *)
+let test_pinned_truncation () =
+  DP.check_pinned "paxos budget 200"
+    (pin ~explored:200 ~deduped:171 ~truncated:true ~cached:527 ())
+    (DP.Ex.explore ~include_drops:true ~max_worlds:200 ~depth:4 (paxos_world ~seed:3))
 
 let test_cache_reuse () =
   DL.check_cache_reuse "lock/cache"
@@ -437,9 +526,10 @@ let () =
       ( "invariance",
         [
           Alcotest.test_case "mutant worlds never alias" `Quick test_mutant_worlds_never_alias;
-          Alcotest.test_case "mutant domains determinism" `Quick test_mutant_domains_determinism;
-          Alcotest.test_case "domains determinism" `Quick test_domains_determinism;
-          Alcotest.test_case "domains iterative" `Quick test_domains_iterative;
+          Alcotest.test_case "mutant pinned results" `Quick test_mutant_pinned;
+          Alcotest.test_case "pinned results" `Quick test_pinned;
+          Alcotest.test_case "pinned iterative" `Quick test_pinned_iterative;
+          Alcotest.test_case "pinned mid-level truncation" `Quick test_pinned_truncation;
           Alcotest.test_case "cache reuse" `Quick test_cache_reuse;
         ] );
     ]
