@@ -45,7 +45,3 @@ let site ~node ~occurrence t =
 let feature s ~alt name =
   if alt < 0 || alt >= Array.length s.site_features then None
   else List.assoc_opt name s.site_features.(alt)
-
-let pp_site ppf s =
-  Format.fprintf ppf "%s@node%d#%d(%d alts)" s.site_label s.site_node s.site_occurrence
-    s.site_arity

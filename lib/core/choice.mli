@@ -35,9 +35,6 @@ val nth : 'a t -> int -> 'a
 
 val label : 'a t -> string
 
-val feature_matrix : 'a t -> (string * float) list array
-(** Features of each alternative, in order — what a resolver sees. *)
-
 (** A resolver's view of a pending choice: everything except the
     application values. [occurrence] counts choice points already
     resolved while processing the current event, so a forced replay can
@@ -54,5 +51,3 @@ val site : node:int -> occurrence:int -> 'a t -> site
 
 val feature : site -> alt:int -> string -> float option
 (** Looks up one named feature of one alternative. *)
-
-val pp_site : Format.formatter -> site -> unit

@@ -10,4 +10,3 @@ let check props view =
 
 let safety_holds props view = check props view = []
 let map_view f t = { t with holds = (fun view -> t.holds (f view)) }
-let kind_to_string = function Safety -> "safety" | Liveness -> "liveness"

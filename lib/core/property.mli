@@ -29,5 +29,3 @@ val safety_holds : 'view t list -> 'view -> bool
 (** [true] iff every safety property holds. *)
 
 val map_view : ('b -> 'a) -> 'a t -> 'b t
-
-val kind_to_string : kind -> string

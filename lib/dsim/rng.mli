@@ -41,9 +41,6 @@ val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. @raise Invalid_argument on
     the empty list. *)
 
-val pick_array : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val shuffle : t -> 'a list -> 'a list
 (** Fisher–Yates shuffle. *)
 

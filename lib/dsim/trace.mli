@@ -52,6 +52,4 @@ val contains_substring : string -> string -> bool
 (** [contains_substring haystack needle] — allocation-free scan; the
     empty needle matches everything.  Exposed for tests and reuse. *)
 
-val level_to_string : level -> string
-
 val pp_record : Format.formatter -> record -> unit

@@ -118,7 +118,6 @@ val events : t -> (float * event) list
 val duration : t -> float
 (** Time of the last event; 0 for an empty plan. *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 
 (** Executors are engine-specific because engines are app-specific;

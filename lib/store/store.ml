@@ -146,7 +146,5 @@ let tear t ~rng =
   end
 
 let wal_entries t = t.entries
-let wal_bytes t = Buffer.length t.wal
-let snapshot_bytes t = match t.snapshot with None -> 0 | Some s -> String.length s
 let bytes_written t = t.disk.bytes_written
 let write_seconds t = t.disk.write_seconds

@@ -69,8 +69,6 @@ val tear : t -> rng:Dsim.Rng.t -> bool
 val wal_entries : t -> int
 (** Complete records currently in the WAL (since the last snapshot). *)
 
-val wal_bytes : t -> int
-val snapshot_bytes : t -> int
 val bytes_written : t -> int
 (** Total bytes ever written to this disk, including overwritten
     snapshots and wiped logs. *)

@@ -124,11 +124,14 @@ let byz_soak app =
         (r.X.byz_rejected + r.X.byz_accepted <= r.X.byz_emitted))
 
 let test_byz_soak_replays () =
-  let a = X.run ~seed:42 ~byz:(-1) "kvstore" and b = X.run ~seed:42 ~byz:(-1) "kvstore" in
-  checki "same mutants emitted" a.X.byz_emitted b.X.byz_emitted;
-  checki "same mutants rejected" a.X.byz_rejected b.X.byz_rejected;
-  checki "same mutants accepted" a.X.byz_accepted b.X.byz_accepted;
-  checki "same deliveries" a.X.delivered b.X.delivered
+  List.iter
+    (fun app ->
+      let a = X.run ~seed:42 ~byz:(-1) app and b = X.run ~seed:42 ~byz:(-1) app in
+      checki (app ^ ": same mutants emitted") a.X.byz_emitted b.X.byz_emitted;
+      checki (app ^ ": same mutants rejected") a.X.byz_rejected b.X.byz_rejected;
+      checki (app ^ ": same mutants accepted") a.X.byz_accepted b.X.byz_accepted;
+      checki (app ^ ": same deliveries") a.X.delivered b.X.delivered)
+    [ "kvstore"; "paxos" ]
 
 let test_byz_off_reports_zero () =
   let r = X.run ~seed:42 "paxos" in

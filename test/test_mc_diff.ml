@@ -363,8 +363,13 @@ let randtree_world ~seed ~n ~horizon =
   RE.run_for eng horizon;
   DR.Ex.world_of_view (RE.global_view eng)
 
+(* Six nodes spawned 0.05 s apart, frozen at 0.26 s: the last joins are
+   still in flight, so the search has somewhere to go. A horizon past
+   the final join leaves nothing pending and every explore stops at the
+   root, which is why the world must be checked to be non-trivial. *)
 let test_randtree_differential () =
-  let w = randtree_world ~seed:5 ~n:6 ~horizon:0.4 in
+  let w = randtree_world ~seed:5 ~n:6 ~horizon:0.26 in
+  checkb "randtree: joins in flight" true ((DR.Ex.explore ~depth:2 w).DR.Ex.worlds_explored > 1);
   DR.check_same "randtree/plain" ~depth:2 w;
   DR.check_same "randtree/drops" ~include_drops:true ~depth:2 w;
   DR.check_verdict "randtree/generic" ~generic_node:true ~depth:2 w;
@@ -471,8 +476,8 @@ let test_pinned () =
     (pin ~explored:502 ~deduped:635 ~cached:527 ())
     (DP.Ex.explore ~include_drops:true ~max_worlds:100_000 ~depth:4 w);
   DR.check_pinned "randtree"
-    (pin ~explored:1 ~deduped:0 ~cached:0 ())
-    (DR.Ex.explore ~depth:2 (randtree_world ~seed:5 ~n:6 ~horizon:0.4))
+    (pin ~explored:6 ~deduped:0 ~cached:0 ~liveness_unmet:[ "all-joined" ] ())
+    (DR.Ex.explore ~depth:2 (randtree_world ~seed:5 ~n:6 ~horizon:0.26))
 
 let test_pinned_iterative () =
   let d, r = DP.Ex.iterative ~include_drops:true ~max_depth:3 (paxos_world ~seed:3) in
